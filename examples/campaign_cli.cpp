@@ -6,7 +6,7 @@
 // Usage:
 //   campaign_cli [--apps a,b] [--levels causal,rc,ra]
 //                [--strategies exact,strict,relaxed] [--sizes small,large]
-//                [--seeds N] [--jobs N] [--timeout-ms N] [--pco rank|layered]
+//                [--seeds N] [--jobs N] [--timeout-ms N]
 //                [--share-encodings] [--portfolio[=N]] [--lane-stats-dir DIR]
 //                [--stream[=CHUNK]] [--window N] [--stream-from-scratch]
 //                [--no-validate] [--timings] [--quiet]
@@ -78,7 +78,6 @@ int usage(const char *Msg = nullptr) {
       "  --seeds N             workload seeds 1..N (default: 5)\n"
       "  --jobs N              worker threads, 0 = all cores (default: 1)\n"
       "  --timeout-ms N        per-query solver timeout (default: 5000)\n"
-      "  --pco rank|layered    pco encoding (default: rank)\n"
       "  --share-encodings     one PredictSession per observed execution:\n"
       "                        reuse the declare+feasibility encoding across\n"
       "                        that execution's queries (same sat/unsat\n"
@@ -213,7 +212,6 @@ int main(int argc, char **argv) {
   unsigned Seeds = 5;
   unsigned Jobs = 1;
   unsigned TimeoutMs = 5000;
-  PcoEncoding Pco = PcoEncoding::Rank;
   bool ShareEncodings = false;
   bool Prune = false;
   bool Stream = false;
@@ -408,17 +406,6 @@ int main(int argc, char **argv) {
         TimeoutMs = static_cast<unsigned>(*N);
         GridFlagUsed = true;
       }
-    } else if (Flag == "--pco") {
-      const char *V = next();
-      if (!V)
-        return usage("--pco needs a value");
-      GridFlagUsed = true;
-      auto Parsed = pcoEncodingFromString(V);
-      if (!Parsed)
-        return usage(("--pco must be one of: " +
-                      std::string(pcoEncodingValidNames()))
-                         .c_str());
-      Pco = *Parsed;
     } else if (Flag == "--name") {
       const char *V = next();
       if (!V)
@@ -461,7 +448,7 @@ int main(int argc, char **argv) {
     if (GridFlagUsed)
       return usage("--campaign files carry their own grid; drop the "
                    "--apps/--levels/--strategies/--sizes/--seeds/"
-                   "--timeout-ms/--pco/--no-validate/--name flags");
+                   "--timeout-ms/--no-validate/--name flags");
     std::string Json, Error;
     if (!readFile(CampaignFile, Json, &Error))
       return usage(Error.c_str());
@@ -480,7 +467,7 @@ int main(int argc, char **argv) {
     if (Window && !Stream)
       return usage("--window only applies to --stream jobs");
     C = Campaign::predictGrid(Name, Apps, Levels, Strategies, Larges, Seeds,
-                              TimeoutMs, Pco);
+                              TimeoutMs);
     for (JobSpec &J : C.Jobs) {
       J.Validate = Validate;
       J.Prune = Prune;

@@ -30,7 +30,7 @@ uint64_t packTK(TxnId T, KeyId K) {
 } // namespace
 
 PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
-                                             AssertionBuffer &Asserts,
+                                             SmtSolver &Solver,
                                              const PairMatrix &Base,
                                              const char *Prefix, bool Fold,
                                              uint64_t *PrunedVars,
@@ -96,7 +96,7 @@ PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
         }
         SmtExpr Var =
             Ctx.boolVar(formatString("%s_l%zu_%u_%u", Prefix, L, A, B));
-        Asserts.add(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
+        Solver.add(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
         Next[A][B] = Var;
       }
     Prev = std::move(Next);
@@ -207,7 +207,7 @@ void EncodingContext::buildIndexes() {
 }
 
 std::vector<EncodingContext::Justification>
-EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
+EncodingContext::wwJust(TxnId A, TxnId B) {
   // φww(A,B): B's write to k is read by some t3 that pco-follows A, and
   // A's write to k lies inside its session's boundary (App. B.2.2).
   std::vector<Justification> Out;
@@ -215,22 +215,17 @@ EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
     if (E.Other == A || !writes(A, E.K))
       continue;
     if (pruning()) {
-      // Fold constant conjuncts: a constant-false pco edge (layered
-      // encoding) kills the justification; a constant-true one grounds
-      // the derivation — no rank guard needed (Justification::
-      // Grounded) — and writeIncluded is constant true for t0's writes.
-      SmtExpr Edge = P[A][E.Other];
-      if (isFalse(Edge)) {
-        notePrunedLits(3);
-        continue;
-      }
+      // Fold constant conjuncts: a constant-true pco edge (an observed
+      // so pair) grounds the derivation — no rank guard needed
+      // (Justification::Grounded) — and writeIncluded is constant true
+      // for t0's writes.
+      SmtExpr Edge = Pco[A][E.Other];
       std::vector<SmtExpr> Conj{E.Wrk};
       bool Grounded = isTrue(Edge);
       if (Grounded)
         notePrunedLits(1); // The folded pco conjunct. (The rank guard a
                            // grounded justification also sheds is
-                           // counted by the rank pass — the layered
-                           // encoding has no guards to shed.)
+                           // counted by the rank pass.)
       else
         Conj.push_back(Edge);
       SmtExpr WInc = writeIncluded(A, E.K);
@@ -241,14 +236,14 @@ EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
       Out.push_back({Ctx.mkAnd(Conj), A, E.Other, Grounded});
       continue;
     }
-    Out.push_back({Ctx.mkAnd({E.Wrk, P[A][E.Other], writeIncluded(A, E.K)}),
+    Out.push_back({Ctx.mkAnd({E.Wrk, Pco[A][E.Other], writeIncluded(A, E.K)}),
                    A, E.Other});
   }
   return Out;
 }
 
 std::vector<EncodingContext::Justification>
-EncodingContext::rwJust(TxnId A, TxnId B, const PairMatrix &P) {
+EncodingContext::rwJust(TxnId A, TxnId B) {
   // φrw(A,B): A reads k from some t3, B also writes k and pco-follows
   // t3, and B's write to k lies inside its session's boundary.
   std::vector<Justification> Out;
@@ -258,11 +253,7 @@ EncodingContext::rwJust(TxnId A, TxnId B, const PairMatrix &P) {
     if (E.Other == B || !writes(B, E.K))
       continue;
     if (pruning()) {
-      SmtExpr Edge = P[E.Other][B];
-      if (isFalse(Edge)) {
-        notePrunedLits(3);
-        continue;
-      }
+      SmtExpr Edge = Pco[E.Other][B];
       std::vector<SmtExpr> Conj{E.Wrk};
       bool Grounded = isTrue(Edge);
       if (Grounded)
@@ -277,7 +268,7 @@ EncodingContext::rwJust(TxnId A, TxnId B, const PairMatrix &P) {
       Out.push_back({Ctx.mkAnd(Conj), E.Other, B, Grounded});
       continue;
     }
-    Out.push_back({Ctx.mkAnd({E.Wrk, P[E.Other][B], writeIncluded(B, E.K)}),
+    Out.push_back({Ctx.mkAnd({E.Wrk, Pco[E.Other][B], writeIncluded(B, E.K)}),
                    E.Other, B});
   }
   return Out;
@@ -292,11 +283,10 @@ void EncodingContext::addCycleConstraint(const PairMatrix &P) {
         continue;
       }
       // Folded: a constant-false side kills the term; a constant-true
-      // side (so edges under the rank encoding, derived layers under
-      // the layered one) reduces it to the other side. Both sides true
-      // cannot happen for pco ⊇ so (so is acyclic), but an empty
-      // disjunction still asserts false — "no cycle is possible" is a
-      // legitimate (unsat) outcome.
+      // side (an observed so edge) reduces it to the other side. Both
+      // sides true cannot happen for pco ⊇ so (so is acyclic), but an
+      // empty disjunction still asserts false — "no cycle is possible"
+      // is a legitimate (unsat) outcome.
       SmtExpr Fwd = P[A][B], Bwd = P[B][A];
       if (isFalse(Fwd) || isFalse(Bwd)) {
         notePrunedLits(2);
@@ -314,5 +304,5 @@ void EncodingContext::addCycleConstraint(const PairMatrix &P) {
         CycleTerms.push_back(Ctx.mkAnd(Fwd, Bwd));
       }
     }
-  assertExpr(Ctx.mkOr(CycleTerms));
+  Solver.add(Ctx.mkOr(CycleTerms));
 }

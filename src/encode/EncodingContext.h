@@ -7,8 +7,8 @@
 /// \file
 /// The state shared by the composable encoding passes (Passes.h): the
 /// pair-indexed variable matrices, the φwr_k atom table, the boundary
-/// and cut terms, interned helper atoms, and the batched assertion
-/// buffer. One EncodingContext exists per predict() query; the
+/// and cut terms, interned helper atoms, and the solver the passes
+/// assert on. One EncodingContext exists per predict() query; the
 /// EncoderPipeline (Pipeline.h) threads it through the passes the
 /// options selected, and extraction in Predict.cpp reads the model
 /// through the same tables.
@@ -48,56 +48,9 @@ namespace encode {
 /// Pair-indexed expression matrix ([t1][t2], diagonal unused).
 using PairMatrix = std::vector<std::vector<SmtExpr>>;
 
-/// Routes pass assertions to the solver. Two modes, because batching is
-/// *not* model-transparent:
-///
-///  - Immediate: every add() is a Z3_solver_assert right away,
-///    interleaved with term construction exactly as the monolithic
-///    encoder interleaved them. Z3 creates (and hash-conses) auxiliary
-///    ASTs while asserting, so the interleaving determines AST ids,
-///    which seed the solver's search heuristics — Immediate is the only
-///    mode that keeps extracted predictions bit-identical across the
-///    refactor, and the prediction pipeline uses it.
-///  - Conjoin: buffer the pass and flush it as a single batched
-///    Z3_solver_assert of the conjunction (SmtSolver::addAll) — one API
-///    crossing per pass. Sat-equivalent, but may steer the solver to a
-///    different (equally valid) model, so it is reserved for
-///    verdict-only queries (the serializability checker) where no model
-///    is extracted.
-class AssertionBuffer {
-public:
-  enum class FlushMode { Immediate, Conjoin };
-
-  explicit AssertionBuffer(SmtSolver &Solver,
-                           FlushMode Mode = FlushMode::Immediate)
-      : Solver(Solver), Mode(Mode) {}
-
-  void add(SmtExpr E) {
-    if (Mode == FlushMode::Immediate)
-      Solver.add(E);
-    else
-      Pending.push_back(E);
-  }
-
-  /// Flushes pending assertions (no-op in Immediate mode, one batched
-  /// Z3_solver_assert in Conjoin mode).
-  void flush() {
-    if (!Pending.empty()) {
-      Solver.addAll(Pending);
-      Pending.clear();
-    }
-  }
-
-  size_t pendingCount() const { return Pending.size(); }
-
-private:
-  SmtSolver &Solver;
-  FlushMode Mode;
-  std::vector<SmtExpr> Pending;
-};
-
 /// Defines fresh variables <-> transitive closure of \p Base by repeated
-/// squaring (ceil(log2 N) layers); definitions go through \p Asserts.
+/// squaring (ceil(log2 N) layers); definitions are asserted on
+/// \p Solver.
 /// Exposed as a free function so the closure machinery is testable in
 /// isolation and reusable outside a prediction query.
 ///
@@ -109,7 +62,7 @@ private:
 /// and folded-out atoms are tallied into \p PrunedVars / \p PrunedLits
 /// when non-null. Sat-equivalent; with \p Fold off the construction is
 /// bit-identical to the original.
-PairMatrix defineClosure(SmtContext &Ctx, AssertionBuffer &Asserts,
+PairMatrix defineClosure(SmtContext &Ctx, SmtSolver &Solver,
                          const PairMatrix &Base, const char *Prefix,
                          bool Fold = false, uint64_t *PrunedVars = nullptr,
                          uint64_t *PrunedLits = nullptr);
@@ -134,12 +87,8 @@ public:
   EncodingContext(const History &H, const PredictOptions &Opts,
                   SmtContext &Ctx, SmtSolver &Solver,
                   bool SessionMode = false, bool Streaming = false)
-      : H(H), Opts(Opts), Ctx(Ctx),
-        Asserts(Solver, Opts.BatchAsserts
-                            ? AssertionBuffer::FlushMode::Conjoin
-                            : AssertionBuffer::FlushMode::Immediate),
-        N(H.numTxns()), SessionMode(SessionMode || Streaming),
-        Streaming(Streaming),
+      : H(H), Opts(Opts), Ctx(Ctx), Solver(Solver), N(H.numTxns()),
+        SessionMode(SessionMode || Streaming), Streaming(Streaming),
         Relaxed(Opts.Strat == Strategy::ApproxRelaxed) {
     if (Opts.PruneFormula) {
       // Streaming plans disable the single-writer fixed-choice rule:
@@ -155,7 +104,11 @@ public:
   const History &H;
   const PredictOptions &Opts;
   SmtContext &Ctx;
-  AssertionBuffer Asserts;
+  /// Passes assert straight onto the solver, interleaved with term
+  /// construction: Z3 hash-conses auxiliary ASTs while asserting, so
+  /// the interleaving fixes the AST ids that seed the solver's search
+  /// — the order is part of the bit-identical behaviour contract.
+  SmtSolver &Solver;
   /// Number of encoded transactions; fixed except in streaming mode,
   /// where extendHistory() grows it as H is appended to.
   size_t N;
@@ -327,9 +280,6 @@ public:
   // Builders and interned atoms
   //===--------------------------------------------------------------------===
 
-  /// Buffers \p E for the next batched assert.
-  void assertExpr(SmtExpr E) { Asserts.add(E); }
-
   /// Fresh N×N matrix of named bool (or int) variables.
   PairMatrix makePairMatrix(const char *Name, bool IsInt = false);
 
@@ -359,7 +309,7 @@ public:
   /// Member shorthand for the free defineClosure above (folding — and
   /// tallying into the pruning counters — exactly when pruning is on).
   PairMatrix closure(const PairMatrix &Base, const char *Prefix) {
-    return defineClosure(Ctx, Asserts, Base, Prefix, pruning(),
+    return defineClosure(Ctx, Solver, Base, Prefix, pruning(),
                          &PrunedVars, &PrunedLits);
   }
 
@@ -376,14 +326,14 @@ public:
   };
 
   /// φww(A,B) justifications: B's write to k is read by some t3 that
-  /// pco-follows A, and A's write to k lies inside its session's
-  /// boundary (App. B.2.2).
-  std::vector<Justification> wwJust(TxnId A, TxnId B, const PairMatrix &P);
+  /// pco-follows A (per the Pco matrix), and A's write to k lies inside
+  /// its session's boundary (App. B.2.2).
+  std::vector<Justification> wwJust(TxnId A, TxnId B);
 
   /// φrw(A,B) justifications: A reads k from some t3, B also writes k
   /// and pco-follows t3, and B's write to k lies inside its session's
   /// boundary. Empty when the rw ablation knob is off.
-  std::vector<Justification> rwJust(TxnId A, TxnId B, const PairMatrix &P);
+  std::vector<Justification> rwJust(TxnId A, TxnId B);
 
   /// Asserts that \p P contains a 2-cycle through its closure (the
   /// unserializability witness requirement).

@@ -8,8 +8,6 @@
 //  - hb is encoded as an exact transitive closure by repeated squaring
 //    instead of a recursive fixpoint equality; hb only occurs positively
 //    in the isolation constraints, so only spurious models are removed.
-//  - An alternative bounded-depth pco realization (PcoEncoding::Layered)
-//    exists for comparison; the paper's rank encoding is the default.
 //
 // Every pass has two construction paths: the default one, bit-identical
 // to the pre-refactor monolithic encoder (the golden fixtures pin it),
@@ -63,7 +61,7 @@ void assertEmbedding(EncodingContext &EC, SmtExpr Hb,
   SmtContext &Ctx = EC.Ctx;
   EC.notePrunedVars(1); // The inlined-away ww relation variable.
   if (EC.isTrue(Hb)) {
-    EC.assertExpr(Lt);
+    EC.Solver.add(Lt);
     EC.notePrunedLits(2);
     return;
   }
@@ -73,7 +71,7 @@ void assertEmbedding(EncodingContext &EC, SmtExpr Hb,
       return;
     }
     EC.notePrunedLits(2); // The hb disjunct and the iff's variable ref.
-    EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Terms), Lt));
+    EC.Solver.add(Ctx.mkImplies(Ctx.mkOr(Terms), Lt));
     return;
   }
   std::vector<SmtExpr> Lhs;
@@ -81,7 +79,7 @@ void assertEmbedding(EncodingContext &EC, SmtExpr Hb,
   Lhs.push_back(Hb);
   Lhs.insert(Lhs.end(), Terms.begin(), Terms.end());
   EC.notePrunedLits(1); // The iff's variable ref.
-  EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Lhs), Lt));
+  EC.Solver.add(Ctx.mkImplies(Ctx.mkOr(Lhs), Lt));
 }
 
 /// Streaming declarations: grows the pair tables and declares only the
@@ -183,7 +181,7 @@ void feasibilityStreaming(EncodingContext &EC) {
 
       // i < φboundary(s2) ⇒ φchoice(s2,i) = φobs(s2,i), once per read.
       if (R.Reader >= From)
-        EC.assertExpr(Ctx.mkImplies(EC.beforeBoundary(S2, R.Pos),
+        EC.Solver.add(Ctx.mkImplies(EC.beforeBoundary(S2, R.Pos),
                                     EC.choiceIs(S2, R.Pos, R.Writer)));
 
       // An included read must read an included write — new reads gain
@@ -193,7 +191,7 @@ void feasibilityStreaming(EncodingContext &EC) {
           continue;
         if (W < From && R.Reader < From)
           continue;
-        EC.assertExpr(Ctx.mkImplies(
+        EC.Solver.add(Ctx.mkImplies(
             Ctx.mkAnd(EC.choiceIs(S2, R.Pos, W),
                       EC.eventIncluded(S2, R.Pos)),
             EC.writeIncluded(W, K)));
@@ -212,7 +210,7 @@ void feasibilityStreaming(EncodingContext &EC) {
     for (uint32_t Pos : H.rdPos(Reader, K))
       Terms.push_back(Ctx.mkAnd(EC.choiceIs(S2, Pos, Writer),
                                 EC.eventIncluded(S2, Pos)));
-    EC.assertExpr(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
+    EC.Solver.add(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
   }
 
   // φwr definitions for pairs with a delta endpoint. An old pair's
@@ -230,7 +228,7 @@ void feasibilityStreaming(EncodingContext &EC) {
         continue;
       if (EC.pruning() && EC.isFalse(EC.Wr[A][B]))
         continue;
-      EC.assertExpr(Ctx.mkIff(EC.Wr[A][B], Ctx.mkOr(WrTerms[A][B])));
+      EC.Solver.add(Ctx.mkIff(EC.Wr[A][B], Ctx.mkOr(WrTerms[A][B])));
     }
 }
 
@@ -340,7 +338,7 @@ void FeasibilityPass::run(EncodingContext &EC) {
       for (TxnId B = 0; B < N; ++B) {
         if (A == B)
           continue;
-        EC.assertExpr(H.so(A, B) ? EC.So[A][B] : Ctx.mkNot(EC.So[A][B]));
+        EC.Solver.add(H.so(A, B) ? EC.So[A][B] : Ctx.mkNot(EC.So[A][B]));
       }
   } else {
     EC.notePrunedLits(static_cast<uint64_t>(N) * (N - 1));
@@ -362,14 +360,14 @@ void FeasibilityPass::run(EncodingContext &EC) {
         Options.push_back(
             Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(E.Pos)));
         if (LinkCut)
-          EC.assertExpr(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
+          EC.Solver.add(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
       }
     }
     Options.push_back(
         Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(EC.Inf)));
-    EC.assertExpr(Ctx.mkOr(Options));
+    EC.Solver.add(Ctx.mkOr(Options));
     if (LinkCut)
-      EC.assertExpr(relaxedCutAtInf(EC, S));
+      EC.Solver.add(relaxedCutAtInf(EC, S));
   }
 
   // --- Read choices: every read's choice ranges over the writers of
@@ -397,10 +395,10 @@ void FeasibilityPass::run(EncodingContext &EC) {
       for (TxnId W : Writers)
         if (W != R.Reader)
           Domain.push_back(EC.choiceIs(S2, R.Pos, W));
-      EC.assertExpr(Ctx.mkOr(Domain)); // Domain (B.1).
+      EC.Solver.add(Ctx.mkOr(Domain)); // Domain (B.1).
 
       // i < φboundary(s2) ⇒ φchoice(s2,i) = φobs(s2,i).
-      EC.assertExpr(Ctx.mkImplies(EC.beforeBoundary(S2, R.Pos),
+      EC.Solver.add(Ctx.mkImplies(EC.beforeBoundary(S2, R.Pos),
                                   EC.choiceIs(S2, R.Pos, R.Writer)));
 
       // An included read must read an included write:
@@ -408,7 +406,7 @@ void FeasibilityPass::run(EncodingContext &EC) {
       for (TxnId W : Writers) {
         if (W == R.Reader || W == InitTxn)
           continue;
-        EC.assertExpr(Ctx.mkImplies(
+        EC.Solver.add(Ctx.mkImplies(
             Ctx.mkAnd(EC.choiceIs(S2, R.Pos, W),
                       EC.eventIncluded(S2, R.Pos)),
             EC.writeIncluded(W, K)));
@@ -434,7 +432,7 @@ void FeasibilityPass::run(EncodingContext &EC) {
         Terms.push_back(Ctx.mkAnd(ChoiceAtom, Included));
       }
     }
-    EC.assertExpr(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
+    EC.Solver.add(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
   }
 
   // --- φwr(t1,t2) = \/_k φwr_k(t1,t2). One sweep over the (ordered)
@@ -456,7 +454,7 @@ void FeasibilityPass::run(EncodingContext &EC) {
         EC.notePrunedLits(2);
         continue;
       }
-      EC.assertExpr(Ctx.mkIff(EC.Wr[A][B], Ctx.mkOr(WrTerms[A][B])));
+      EC.Solver.add(Ctx.mkIff(EC.Wr[A][B], Ctx.mkOr(WrTerms[A][B])));
     }
 
   // --- φhb: transitive closure of so ∪ wr (§4.3), encoded by repeated
@@ -492,7 +490,7 @@ void FeasibilityPass::run(EncodingContext &EC) {
     for (TxnId A = 0; A < N; ++A)
       for (TxnId B = 0; B < N; ++B)
         if (A != B)
-          EC.assertExpr(Ctx.mkIff(EC.Hb[A][B], Closed[A][B]));
+          EC.Solver.add(Ctx.mkIff(EC.Hb[A][B], Closed[A][B]));
   } else {
     EC.Hb = std::move(Closed);
     EC.notePrunedLits(2 * static_cast<uint64_t>(N) * (N - 1));
@@ -528,7 +526,7 @@ void WindowPass::run(EncodingContext &EC) {
               Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(E.Pos)));
     Options.push_back(
         Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(EC.Inf)));
-    EC.assertExpr(Ctx.mkOr(Options));
+    EC.Solver.add(Ctx.mkOr(Options));
   }
 
   // --- Choice domains over the keys' *current* writer sets. A domain
@@ -542,7 +540,7 @@ void WindowPass::run(EncodingContext &EC) {
       for (TxnId W : Writers)
         if (W != R.Reader)
           Domain.push_back(EC.choiceIs(S2, R.Pos, W));
-      EC.assertExpr(Ctx.mkOr(Domain));
+      EC.Solver.add(Ctx.mkOr(Domain));
     }
   }
 
@@ -564,7 +562,7 @@ void WindowPass::run(EncodingContext &EC) {
         continue;
       Base[A][B] = EC.isTrue(EC.So[A][B]) ? EC.So[A][B] : EC.Wr[A][B];
     }
-  EC.Hb = defineClosure(Ctx, EC.Asserts, Base, "hb", /*Fold=*/true,
+  EC.Hb = defineClosure(Ctx, EC.Solver, Base, "hb", /*Fold=*/true,
                         &EC.PrunedVars, &EC.PrunedLits);
 #ifndef NDEBUG
   if (EC.pruning())
@@ -587,7 +585,7 @@ void BoundaryLinkPass::run(EncodingContext &EC) {
     // pinned instead, which is sat-equivalent in every constraint that
     // compares against it.
     for (SessionId S = 0; S < H.numSessions(); ++S)
-      EC.assertExpr(Ctx.internEq(EC.Cut[S], EC.Boundary[S]));
+      EC.Solver.add(Ctx.internEq(EC.Cut[S], EC.Boundary[S]));
     return;
   }
 
@@ -602,10 +600,10 @@ void BoundaryLinkPass::run(EncodingContext &EC) {
       for (const Event &E : Txn.Events) {
         if (E.Kind != EventKind::Read)
           continue;
-        EC.assertExpr(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
+        EC.Solver.add(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
       }
     }
-    EC.assertExpr(relaxedCutAtInf(EC, S));
+    EC.Solver.add(relaxedCutAtInf(EC, S));
   }
 }
 
@@ -678,7 +676,7 @@ void ExactStrictPass::run(EncodingContext &EC) {
       }
       Conj.push_back(Ctx.mkImplies(Ctx.mkOr(Parts), Lt));
     }
-  EC.assertExpr(Ctx.mkForall(CoBound, Ctx.mkNot(Ctx.mkAnd(Conj))));
+  EC.Solver.add(Ctx.mkForall(CoBound, Ctx.mkNot(Ctx.mkAnd(Conj))));
 }
 
 void ApproxRankPass::run(EncodingContext &EC) {
@@ -703,8 +701,8 @@ void ApproxRankPass::run(EncodingContext &EC) {
     for (TxnId B = 0; B < N; ++B) {
       if (A == B)
         continue;
-      EC.assertExpr(Ctx.mkLe(Zero, EC.Rank[A][B]));
-      EC.assertExpr(Ctx.mkLe(EC.Rank[A][B], RankMax));
+      EC.Solver.add(Ctx.mkLe(Zero, EC.Rank[A][B]));
+      EC.Solver.add(Ctx.mkLe(EC.Rank[A][B], RankMax));
     }
 
   // The rank guards reuse a small set of comparison atoms heavily: for a
@@ -734,7 +732,7 @@ void ApproxRankPass::run(EncodingContext &EC) {
         continue;
 
       WwTerms.clear();
-      for (EncodingContext::Justification &J : EC.wwJust(A, B, EC.Pco))
+      for (EncodingContext::Justification &J : EC.wwJust(A, B))
         WwTerms.push_back(Ctx.mkAnd(J.Cond, RankLt(J.RankA, J.RankB, B)));
       // One-directional definitional implication: ww/rw/pco occur only
       // positively (in the pco cycle constraint), so requiring every
@@ -742,12 +740,12 @@ void ApproxRankPass::run(EncodingContext &EC) {
       // "=" form — by rank induction, true edges lie in the least
       // fixpoint — and leaves the solver free to ignore edges it does
       // not need.
-      EC.assertExpr(Ctx.mkIff(Ww[A][B], Ctx.mkOr(WwTerms)));
+      EC.Solver.add(Ctx.mkIff(Ww[A][B], Ctx.mkOr(WwTerms)));
 
       RwTerms.clear();
-      for (EncodingContext::Justification &J : EC.rwJust(A, B, EC.Pco))
+      for (EncodingContext::Justification &J : EC.rwJust(A, B))
         RwTerms.push_back(Ctx.mkAnd(J.Cond, RankLt(J.RankA, J.RankB, B)));
-      EC.assertExpr(Ctx.mkIff(Rw[A][B], Ctx.mkOr(RwTerms)));
+      EC.Solver.add(Ctx.mkIff(Rw[A][B], Ctx.mkOr(RwTerms)));
 
       // φpco(A,B) = so ∨ wr ∨ ww ∨ rw ∨ rank-guarded transitivity.
       PcoTerms.clear();
@@ -761,7 +759,7 @@ void ApproxRankPass::run(EncodingContext &EC) {
         PcoTerms.push_back(Ctx.mkAnd({EC.Pco[A][M], EC.Pco[M][B],
                                       RankLt(A, M, B), RankLt(M, B, B)}));
       }
-      EC.assertExpr(Ctx.mkIff(EC.Pco[A][B], Ctx.mkOr(PcoTerms)));
+      EC.Solver.add(Ctx.mkIff(EC.Pco[A][B], Ctx.mkOr(PcoTerms)));
     }
   }
 
@@ -814,8 +812,8 @@ void ApproxRankPass::runPruned(EncodingContext &EC) {
     for (TxnId B = 0; B < N; ++B) {
       if (A == B || !EC.Rank[A][B].valid())
         continue;
-      EC.assertExpr(Ctx.mkLe(Zero, EC.Rank[A][B]));
-      EC.assertExpr(Ctx.mkLe(EC.Rank[A][B], RankMax));
+      EC.Solver.add(Ctx.mkLe(Zero, EC.Rank[A][B]));
+      EC.Solver.add(Ctx.mkLe(EC.Rank[A][B], RankMax));
     }
 
   PairMatrix LtPrefix(N, std::vector<SmtExpr>(N));
@@ -844,7 +842,7 @@ void ApproxRankPass::runPruned(EncodingContext &EC) {
       // guard is tallied here, not in wwJust/rwJust, because only the
       // rank encoding has guards to shed.
       WwTerms.clear();
-      for (EncodingContext::Justification &J : EC.wwJust(A, B, EC.Pco)) {
+      for (EncodingContext::Justification &J : EC.wwJust(A, B)) {
         if (J.Grounded) {
           EC.notePrunedLits(1);
           WwTerms.push_back(J.Cond);
@@ -858,11 +856,11 @@ void ApproxRankPass::runPruned(EncodingContext &EC) {
         EC.notePrunedLits(1);
       } else {
         Ww[A][B] = Ctx.boolVar(formatString("ww_%u_%u", A, B));
-        EC.assertExpr(Ctx.mkIff(Ww[A][B], Ctx.mkOr(WwTerms)));
+        EC.Solver.add(Ctx.mkIff(Ww[A][B], Ctx.mkOr(WwTerms)));
       }
 
       RwTerms.clear();
-      for (EncodingContext::Justification &J : EC.rwJust(A, B, EC.Pco)) {
+      for (EncodingContext::Justification &J : EC.rwJust(A, B)) {
         if (J.Grounded) {
           EC.notePrunedLits(1);
           RwTerms.push_back(J.Cond);
@@ -876,7 +874,7 @@ void ApproxRankPass::runPruned(EncodingContext &EC) {
         EC.notePrunedLits(1);
       } else {
         Rw[A][B] = Ctx.boolVar(formatString("rw_%u_%u", A, B));
-        EC.assertExpr(Ctx.mkIff(Rw[A][B], Ctx.mkOr(RwTerms)));
+        EC.Solver.add(Ctx.mkIff(Rw[A][B], Ctx.mkOr(RwTerms)));
       }
 
       // φpco(A,B) = so ∨ wr ∨ ww ∨ rw ∨ rank-guarded transitivity,
@@ -915,77 +913,10 @@ void ApproxRankPass::runPruned(EncodingContext &EC) {
           Parts.push_back(RankLt(M, B, B));
         PcoTerms.push_back(Ctx.mkAnd(Parts));
       }
-      EC.assertExpr(Ctx.mkIff(EC.Pco[A][B], Ctx.mkOr(PcoTerms)));
+      EC.Solver.add(Ctx.mkIff(EC.Pco[A][B], Ctx.mkOr(PcoTerms)));
     }
   }
 
-  EC.addCycleConstraint(EC.Pco);
-}
-
-void ApproxLayeredPass::run(EncodingContext &EC) {
-  SmtContext &Ctx = EC.Ctx;
-  size_t N = EC.N;
-  bool Pruned = EC.pruning();
-
-  // B.2.2 realized as a bounded-depth least fixpoint: every relation is
-  // a deterministic function of the read choices and boundaries, so
-  // self-justifying edges cannot exist by construction and the solver
-  // only searches the choice space. Depth `PcoDepth` bounds how many
-  // alternations of (derive ww/rw; close transitively) are captured;
-  // deeper cycles are missed — soundly, and never in our experiments
-  // (bench/ablation_pco cross-checks against the rank encoding). Under
-  // the plan the base and every closure layer constant-fold
-  // (EC.closure), and justifications against constant-false layer
-  // entries are dropped in wwJust/rwJust.
-  PairMatrix Base(N, std::vector<SmtExpr>(N));
-  for (TxnId A = 0; A < N; ++A)
-    for (TxnId B = 0; B < N; ++B) {
-      if (A == B)
-        continue;
-      if (!Pruned) {
-        Base[A][B] = Ctx.mkOr(EC.So[A][B], EC.Wr[A][B]);
-      } else if (EC.isTrue(EC.So[A][B])) {
-        Base[A][B] = EC.So[A][B];
-        EC.notePrunedLits(1);
-      } else if (EC.isFalse(EC.Wr[A][B])) {
-        Base[A][B] = EC.Wr[A][B];
-        EC.notePrunedLits(2);
-      } else {
-        Base[A][B] = EC.Wr[A][B];
-        EC.notePrunedLits(1);
-      }
-    }
-  PairMatrix P = EC.closure(Base, "pco0");
-
-  unsigned Depth = std::max(1u, EC.Opts.PcoDepth);
-  for (unsigned Round = 1; Round <= Depth; ++Round) {
-    PairMatrix NextBase(N, std::vector<SmtExpr>(N));
-    for (TxnId A = 0; A < N; ++A)
-      for (TxnId B = 0; B < N; ++B) {
-        if (A == B)
-          continue;
-        if (Pruned && EC.isTrue(P[A][B])) {
-          // Already derived at a lower layer; justifications add
-          // nothing (their enumeration is skipped outright).
-          NextBase[A][B] = P[A][B];
-          continue;
-        }
-        std::vector<SmtExpr> Terms;
-        if (Pruned && EC.isFalse(P[A][B]))
-          EC.notePrunedLits(1);
-        else
-          Terms.push_back(P[A][B]);
-        for (EncodingContext::Justification &J : EC.wwJust(A, B, P))
-          Terms.push_back(J.Cond);
-        for (EncodingContext::Justification &J : EC.rwJust(A, B, P))
-          Terms.push_back(J.Cond);
-        NextBase[A][B] = Terms.empty() && Pruned ? Ctx.boolVal(false)
-                                                 : Ctx.mkOr(Terms);
-      }
-    P = EC.closure(NextBase, formatString("pco%u", Round).c_str());
-  }
-
-  EC.Pco = P; // Witness extraction reads the final matrix.
   EC.addCycleConstraint(EC.Pco);
 }
 
@@ -1041,8 +972,8 @@ void CausalPass::run(EncodingContext &EC) {
         Terms.push_back(Ctx.mkAnd(Parts));
       }
       if (!Pruned) {
-        EC.assertExpr(Ctx.mkIff(WwC[A][B], Ctx.mkOr(Terms)));
-        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwC[A][B]),
+        EC.Solver.add(Ctx.mkIff(WwC[A][B], Ctx.mkOr(Terms)));
+        EC.Solver.add(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwC[A][B]),
                                     Ctx.mkLt(Co[A], Co[B])));
         continue;
       }
@@ -1107,8 +1038,8 @@ void ReadAtomicPass::run(EncodingContext &EC) {
         Terms.push_back(Ctx.mkAnd(Parts));
       }
       if (!Pruned) {
-        EC.assertExpr(Ctx.mkIff(WwRa[A][B], Ctx.mkOr(Terms)));
-        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwRa[A][B]),
+        EC.Solver.add(Ctx.mkIff(WwRa[A][B], Ctx.mkOr(Terms)));
+        EC.Solver.add(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwRa[A][B]),
                                     Ctx.mkLt(Co[A], Co[B])));
         continue;
       }
@@ -1190,8 +1121,8 @@ void ReadCommittedPass::run(EncodingContext &EC) {
         }
       }
       if (!Pruned) {
-        EC.assertExpr(Ctx.mkIff(WwRc[A][B], Ctx.mkOr(Terms)));
-        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwRc[A][B]),
+        EC.Solver.add(Ctx.mkIff(WwRc[A][B], Ctx.mkOr(Terms)));
+        EC.Solver.add(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwRc[A][B]),
                                     Ctx.mkLt(Co[A], Co[B])));
         continue;
       }

@@ -7,16 +7,14 @@
 /// \file
 /// The Appendix-B constraint system as composable pipeline passes over a
 /// shared EncodingContext. Each pass emits one coherent slice of the
-/// constraint system through the context's batched assertion buffer:
+/// constraint system onto the context's solver:
 ///
 ///   DeclarePass        variable tables (φso/φwr/φhb, φwr_k, φchoice,
 ///                      boundary/cut)                  — declarations only
 ///   FeasibilityPass    B.1: observed so, boundary domains, read
 ///                      choices, φwr_k definitions, hb closure
 ///   ExactStrictPass    B.2.1: ∀co. ¬IsSerializable(co)
-///   ApproxRankPass     B.2.2: rank-guarded pco cycle (the default)
-///   ApproxLayeredPass  B.2.2: bounded-depth least fixpoint (frozen
-///                      ablation alternative; see PcoEncoding::Layered)
+///   ApproxRankPass     B.2.2: rank-guarded pco cycle
 ///   CausalPass         B.3.1: (hb ∪ wwcausal) embeds in a total order
 ///   ReadAtomicPass     like B.3.1 with one-step visibility (§8)
 ///   ReadCommittedPass  B.3.2: (hb ∪ wwrc) embeds in a total order
@@ -109,14 +107,6 @@ private:
   /// observed-so pairs substitute constant-true pco and lose their
   /// ww/rw/rank variables; grounded justifications lose their guards.
   void runPruned(EncodingContext &EC);
-};
-
-/// B.2.2 realized as a bounded-depth least fixpoint (frozen ablation
-/// alternative to ApproxRankPass; see PcoEncoding::Layered).
-class ApproxLayeredPass : public EncodingPass {
-public:
-  const char *name() const override { return "approx-layered"; }
-  void run(EncodingContext &EC) override;
 };
 
 /// B.3.1: causal-consistency admissibility of the prediction.

@@ -21,7 +21,6 @@ void EncoderPipeline::run(EncodingContext &EC, EncodingStats &Stats) const {
     uint64_t Before = EC.Ctx.literalCount();
     uint64_t PVBefore = EC.PrunedVars, PLBefore = EC.PrunedLits;
     Pass->run(EC);
-    EC.Asserts.flush(); // No-op in Immediate mode; batch in Conjoin.
     S.finish();
     uint64_t Lits = EC.Ctx.literalCount() - Before;
     Stats.Passes.push_back({Pass->name(), Lits, S.seconds(),
@@ -38,10 +37,8 @@ void EncoderPipeline::run(EncodingContext &EC, EncodingStats &Stats) const {
 static void addQueryPasses(EncoderPipeline &P, const PredictOptions &Opts) {
   if (Opts.Strat == Strategy::ExactStrict)
     P.add(std::make_unique<ExactStrictPass>());
-  else if (Opts.Pco == PcoEncoding::Rank)
-    P.add(std::make_unique<ApproxRankPass>());
   else
-    P.add(std::make_unique<ApproxLayeredPass>());
+    P.add(std::make_unique<ApproxRankPass>());
 
   switch (Opts.Level) {
   case IsolationLevel::Causal:
@@ -66,7 +63,7 @@ EncoderPipeline EncoderPipeline::forOptions(const PredictOptions &Opts) {
   return P;
 }
 
-EncoderPipeline EncoderPipeline::forSessionBase(const PredictOptions &) {
+EncoderPipeline EncoderPipeline::forSessionBase() {
   EncoderPipeline P;
   P.add(std::make_unique<DeclarePass>());
   P.add(std::make_unique<FeasibilityPass>());

@@ -5,12 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs a sequence of encoding passes over one EncodingContext, flushing
-/// the assertion buffer at every pass boundary and attributing literals
-/// and wall-clock to each pass (EncodingStats::Passes — the breakdown
-/// bench/micro_encoding reports). The prediction pipeline asserts in
-/// Immediate mode — see AssertionBuffer for why batching is reserved
-/// for verdict-only queries.
+/// Runs a sequence of encoding passes over one EncodingContext,
+/// attributing literals and wall-clock to each pass
+/// (EncodingStats::Passes — the breakdown bench/micro_encoding
+/// reports).
 ///
 /// predict() assembles the standard pipeline from its options through
 /// forOptions(); nothing stops callers from composing their own pass
@@ -51,7 +49,7 @@ public:
   /// The query-invariant prefix of a PredictSession (session-mode
   /// EncodingContext): declare → feasibility. Encoded once per session,
   /// below every solver scope.
-  static EncoderPipeline forSessionBase(const PredictOptions &Opts);
+  static EncoderPipeline forSessionBase();
 
   /// The per-query suffix of a PredictSession: boundary-link →
   /// strategy (B.2) → isolation (B.3), asserted inside one push/pop

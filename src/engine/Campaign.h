@@ -136,8 +136,7 @@ struct Campaign {
                               const std::vector<IsolationLevel> &Levels,
                               const std::vector<Strategy> &Strategies,
                               const std::vector<bool> &Larges,
-                              unsigned NumSeeds, unsigned TimeoutMs,
-                              PcoEncoding Pco = PcoEncoding::Rank);
+                              unsigned NumSeeds, unsigned TimeoutMs);
 };
 
 } // namespace engine

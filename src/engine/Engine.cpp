@@ -225,7 +225,6 @@ void runPredictGroup(const Campaign &C, const std::vector<size_t> &Indices,
     PredictSession::QueryOptions Q;
     Q.Level = Spec.Level;
     Q.Strat = Spec.Strat;
-    Q.Pco = Spec.Pco;
     Q.TimeoutMs = Spec.TimeoutMs;
     Prediction P = Session.query(Q);
     R.Outcome = P.Result;
@@ -264,7 +263,6 @@ void runStreamJob(JobResult &R, const JobSpec &Spec, const History &Full,
   PredictSession::QueryOptions Q;
   Q.Level = Spec.Level;
   Q.Strat = Spec.Strat;
-  Q.Pco = Spec.Pco;
   Q.TimeoutMs = Spec.TimeoutMs;
 
   // Step cut points: prefix ends [1+Chunk, 1+2*Chunk, ...] clamped to N

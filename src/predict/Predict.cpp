@@ -18,8 +18,6 @@ using namespace isopredict;
 
 const char *isopredict::toString(PcoEncoding E) {
   switch (E) {
-  case PcoEncoding::Layered:
-    return "layered";
   case PcoEncoding::Rank:
     return "rank";
   }
@@ -59,12 +57,8 @@ isopredict::pcoEncodingFromString(std::string_view Name) {
   std::string N = toLowerAscii(Name);
   if (N == "rank")
     return PcoEncoding::Rank;
-  if (N == "layered")
-    return PcoEncoding::Layered;
   return std::nullopt;
 }
-
-const char *isopredict::pcoEncodingValidNames() { return "rank, layered"; }
 
 Prediction isopredict::predict(const History &Observed,
                                const PredictOptions &Opts) {

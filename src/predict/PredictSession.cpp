@@ -142,7 +142,6 @@ PredictOptions toPredictOptions(const PredictSession::Options &SO) {
   PredictOptions O;
   O.TimeoutMs = SO.TimeoutMs;
   O.EnableRw = SO.EnableRw;
-  O.PcoDepth = SO.PcoDepth;
   O.PruneFormula = SO.PruneFormula;
   return O;
 }
@@ -213,7 +212,7 @@ void PredictSession::ensureBase() {
       obs::Metrics::global().counter("session.base_encodes");
   BaseEncodes.inc();
   obs::Span Gen("session.base_encode", obs::CatSession);
-  encode::EncoderPipeline::forSessionBase(Opts).run(*EC, BaseStats);
+  encode::EncoderPipeline::forSessionBase().run(*EC, BaseStats);
   Gen.finish();
   BaseStats.GenSeconds = Gen.seconds();
   BaseStats.NumLiterals = Ctx->literalCount();
@@ -376,7 +375,7 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
     obs::Span Gen("session.extend_encode", obs::CatSession);
     uint64_t Before = Ctx->literalCount();
     EncodingStats DeltaStats;
-    encode::EncoderPipeline::forSessionBase(Opts).run(*EC, DeltaStats);
+    encode::EncoderPipeline::forSessionBase().run(*EC, DeltaStats);
     Gen.finish();
     ES.GenSeconds = Gen.seconds();
     ES.NumLiterals = Ctx->literalCount() - Before;
@@ -395,13 +394,7 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
 Prediction PredictSession::oneShot(const History &Observed,
                                    const PredictOptions &O) {
   PredictSession S(Observed, O, /*Shared=*/false);
-  QueryOptions Q;
-  Q.Level = O.Level;
-  Q.Strat = O.Strat;
-  Q.Pco = O.Pco;
-  Q.TimeoutMs = O.TimeoutMs;
-  Q.GenerateOnly = O.GenerateOnly;
-  return S.runQuery(Q);
+  return S.solveLane();
 }
 
 std::unique_ptr<PredictSession>
@@ -416,7 +409,6 @@ Prediction PredictSession::solveLane() {
   QueryOptions Q;
   Q.Level = Opts.Level;
   Q.Strat = Opts.Strat;
-  Q.Pco = Opts.Pco;
   Q.TimeoutMs = Opts.TimeoutMs;
   Q.GenerateOnly = Opts.GenerateOnly;
   return runQuery(Q);
@@ -443,7 +435,6 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   // EncodingContext's reference to Opts.
   Opts.Level = Q.Level;
   Opts.Strat = Q.Strat;
-  Opts.Pco = Q.Pco;
   Opts.TimeoutMs = Q.TimeoutMs ? Q.TimeoutMs : DefaultTimeoutMs;
 
   if (!Shared) {

@@ -68,8 +68,6 @@ public:
     unsigned TimeoutMs = 0;
     /// Ablation knob: include anti-dependency (rw) edges in pco.
     bool EnableRw = true;
-    /// Derivation-depth bound for PcoEncoding::Layered queries.
-    unsigned PcoDepth = 3;
     /// Formula minimization (PredictOptions::PruneFormula). Session-
     /// wide because the relevance plan shapes the shared declare +
     /// feasibility prefix: it is computed once per session (it depends
@@ -119,7 +117,6 @@ public:
   struct QueryOptions {
     IsolationLevel Level = IsolationLevel::Causal;
     Strategy Strat = Strategy::ApproxRelaxed;
-    PcoEncoding Pco = PcoEncoding::Rank;
     /// Per-query solver timeout (ms); 0 = the session default.
     unsigned TimeoutMs = 0;
     /// Bench-only: assert the per-query passes but skip the solver
@@ -205,9 +202,10 @@ public:
 
   const History &observed() const { return H; }
 
-  /// One-shot compatibility path: runs the full pipeline on a fresh
-  /// context with session mode off — bit-identical to the pre-session
-  /// predict(), which is now a thin wrapper over this.
+  /// One-shot compatibility path: a stack lane (see makeLane) that runs
+  /// the full pipeline on a fresh context with session mode off —
+  /// bit-identical to the pre-session predict(), which is now a thin
+  /// wrapper over this.
   static Prediction oneShot(const History &Observed,
                             const PredictOptions &Opts);
 
@@ -216,12 +214,12 @@ public:
   //===--------------------------------------------------------------------===
   //
   // A lane is a caller-owned one-shot session: construction is cheap (no
-  // Z3 state until solveLane), solveLane() runs the exact oneShot()
-  // pipeline — so a lane with the query's own options is bit-identical
+  // Z3 state until solveLane), solveLane() runs the same pipeline as
+  // oneShot() — so a lane with the query's own options is bit-identical
   // to single-lane mode — and interrupt() may cancel the solve from
-  // another thread. Unlike oneShot(), a lane does NOT copy the history:
-  // the caller's History must outlive the lane (all lanes of one race
-  // share one read-only observed history).
+  // another thread. Unlike a shared session, a lane does NOT copy the
+  // history: the caller's History must outlive the lane (all lanes of
+  // one race share one read-only observed history).
 
   /// Creates a lane for \p Observed with the given effective options
   /// (including PredictOptions::SolverParams presets).
@@ -281,7 +279,7 @@ private:
   History OwnedH;
   const History &H;
   /// Effective options handed to the encoding passes; the query-varying
-  /// fields (Level/Strat/Pco/TimeoutMs) are rewritten per query.
+  /// fields (Level/Strat/TimeoutMs) are rewritten per query.
   PredictOptions Opts;
   const bool Shared;
   const bool Streaming;

@@ -782,7 +782,6 @@ void Server::executeQuery(QueryJob &Job) {
     PredictSession::QueryOptions Q;
     Q.Level = Job.Spec.Level;
     Q.Strat = Job.Spec.Strat;
-    Q.Pco = Job.Spec.Pco;
     Q.TimeoutMs = Job.Spec.TimeoutMs;
     Prediction P = Sess->query(Q);
     R.Outcome = P.Result;

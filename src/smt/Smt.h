@@ -208,8 +208,8 @@ public:
   /// |Es|. Sat-equivalent to |Es| individual add() calls with identical
   /// literal accounting — but conjunction packaging can steer Z3 to a
   /// different (equally valid) model, so callers that extract models
-  /// should assert sequentially (encode::AssertionBuffer picks the
-  /// right mode per use).
+  /// should assert sequentially with add() — as the prediction passes
+  /// do; the verdict-only serializability encoding uses addAll.
   void addAll(const std::vector<SmtExpr> &Es);
 
   /// Sets the per-check timeout. 0 means no timeout.

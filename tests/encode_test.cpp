@@ -47,15 +47,13 @@ TEST(Encode, ClosureBySquaringMatchesNaiveClosure) {
 
       SmtContext Ctx;
       SmtSolver Solver(Ctx);
-      encode::AssertionBuffer Asserts(Solver);
       encode::PairMatrix Base(N, std::vector<SmtExpr>(N));
       for (size_t A = 0; A < N; ++A)
         for (size_t B = 0; B < N; ++B)
           if (A != B)
             Base[A][B] = Ctx.boolVal(R.test(A, B));
       encode::PairMatrix Closed =
-          encode::defineClosure(Ctx, Asserts, Base, "t");
-      Asserts.flush();
+          encode::defineClosure(Ctx, Solver, Base, "t");
 
       BitRel Expect = R;
       // Warshall produces reflexive pairs only on cycles; the squaring
@@ -165,11 +163,6 @@ TEST(Encode, PipelineSelectsPassesFromOptions) {
   EXPECT_EQ(P.Stats.Passes[2].Name, "approx-rank");
   EXPECT_EQ(P.Stats.Passes[3].Name, "read-committed");
 
-  O.Pco = PcoEncoding::Layered;
-  P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 4u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "approx-layered");
-
   O.Strat = Strategy::ExactStrict;
   O.Level = IsolationLevel::Causal;
   P = predict(crossReadObserved(), O);
@@ -179,22 +172,9 @@ TEST(Encode, PipelineSelectsPassesFromOptions) {
 }
 
 //===----------------------------------------------------------------------===
-// Batched assertion (the ablation knob)
+// Batched assertion (SmtSolver::addAll, used by the serializability
+// checker)
 //===----------------------------------------------------------------------===
-
-TEST(Encode, BatchedAssertsKeepLiteralsAndVerdict) {
-  for (int HistIdx = 0; HistIdx < 3; ++HistIdx) {
-    History H = HistIdx == 0   ? depositObserved()
-                : HistIdx == 1 ? crossReadObserved()
-                               : selfJustifyTrap();
-    PredictOptions O = opts(IsolationLevel::Causal, Strategy::ApproxStrict);
-    Prediction Plain = predict(H, O);
-    O.BatchAsserts = true;
-    Prediction Batched = predict(H, O);
-    EXPECT_EQ(Plain.Result, Batched.Result);
-    EXPECT_EQ(Plain.Stats.NumLiterals, Batched.Stats.NumLiterals);
-  }
-}
 
 TEST(Encode, AddAllAccountsLiteralsLikeAdd) {
   SmtContext C1, C2;
@@ -491,8 +471,8 @@ TEST(Prune, PrunedEncodingShrinksAndCounts) {
 }
 
 TEST(Prune, PrunedVerdictsMatchOnHandBuiltHistories) {
-  // Every canned history, every strategy/level, both pco encodings:
-  // the pruned encoding must agree with the default on sat/unsat.
+  // Every canned history, every strategy/level: the pruned encoding
+  // must agree with the default on sat/unsat.
   for (int HistIdx = 0; HistIdx < 5; ++HistIdx) {
     History H = HistIdx == 0   ? depositObserved()
                 : HistIdx == 1 ? depositUnserializable()
@@ -503,20 +483,15 @@ TEST(Prune, PrunedVerdictsMatchOnHandBuiltHistories) {
                        Strategy::ApproxRelaxed})
       for (IsolationLevel L :
            {IsolationLevel::Causal, IsolationLevel::ReadAtomic,
-            IsolationLevel::ReadCommitted})
-        for (PcoEncoding Pco : {PcoEncoding::Rank, PcoEncoding::Layered}) {
-          if (S == Strategy::ExactStrict && Pco == PcoEncoding::Layered)
-            continue; // Exact ignores the pco encoding.
-          SCOPED_TRACE(formatString("hist=%d %s %s %s", HistIdx,
-                                    toString(S), toString(L),
-                                    toString(Pco)));
-          PredictOptions O = opts(L, S);
-          O.Pco = Pco;
-          Prediction Plain = predict(H, O);
-          O.PruneFormula = true;
-          Prediction Pruned = predict(H, O);
-          EXPECT_EQ(Plain.Result, Pruned.Result);
-        }
+            IsolationLevel::ReadCommitted}) {
+        SCOPED_TRACE(formatString("hist=%d %s %s", HistIdx, toString(S),
+                                  toString(L)));
+        PredictOptions O = opts(L, S);
+        Prediction Plain = predict(H, O);
+        O.PruneFormula = true;
+        Prediction Pruned = predict(H, O);
+        EXPECT_EQ(Plain.Result, Pruned.Result);
+      }
   }
 }
 

@@ -55,6 +55,15 @@ public:
   }
 };
 
+/// Stable, readable case names (e.g. smallbank_seed1_causal_strict):
+/// each case is its own ctest entry, named after this.
+std::string
+caseName(const ::testing::TestParamInfo<PipelineTest::ParamType> &Info) {
+  auto [Name, Seed, L, S] = Info.param;
+  return std::string(Name) + "_seed" + std::to_string(Seed) +
+         (L == 0 ? "_causal" : "_rc") + (S == 0 ? "_strict" : "_relaxed");
+}
+
 } // namespace
 
 TEST_P(PipelineTest, PredictionsAreSoundAndMostlyValidate) {
@@ -92,7 +101,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("smallbank", "voter", "tpcc",
                                          "wikipedia"),
                        ::testing::Values<uint64_t>(1, 2, 3),
-                       ::testing::Range(0, 2), ::testing::Range(0, 2)));
+                       ::testing::Range(0, 2), ::testing::Range(0, 2)),
+    caseName);
 
 //===----------------------------------------------------------------------===
 // Headline aggregate results (deterministic: fixed seeds)

@@ -242,9 +242,6 @@ TEST(Campaign, SpecHashIsStableAndDiscriminating) {
   B.Strat = Strategy::ExactStrict;
   EXPECT_NE(specHash(A), specHash(B));
   B = A;
-  B.Pco = PcoEncoding::Layered;
-  EXPECT_NE(specHash(A), specHash(B));
-  B = A;
   B.StoreSeed = 7;
   EXPECT_NE(specHash(A), specHash(B));
   // Pruned and unpruned runs have different default-report bytes
@@ -321,9 +318,12 @@ TEST(Campaign, GoldenSpecHashes) {
 
   JobSpec Exact = Predict;
   Exact.Strat = Strategy::ExactStrict;
-  Exact.Pco = PcoEncoding::Layered;
   Exact.Validate = false;
-  EXPECT_EQ(hash(Exact), "38cbec66d1c1f95e");
+  EXPECT_EQ(canonicalSpec(Exact),
+            "kind=predict;app=smallbank;sessions=3;txns=4;seed=1;"
+            "level=causal;strat=Exact-Strict;pco=rank;store_seed=1;"
+            "timeout_ms=0;validate=0;check_ser=1;prune=0");
+  EXPECT_EQ(hash(Exact), "387af10b618097f0");
 
   JobSpec Observe;
   Observe.Kind = JobKind::Observe;
@@ -454,5 +454,24 @@ TEST(Report, StreamResultRoundTrips) {
     writeJobFields(W2, *Back, RO);
     W2.closeObject();
     EXPECT_EQ(W2.take(), Json) << "timings=" << Timings;
+
+    // The removed pco encoding's name is outside input: a report entry
+    // (jobResultFromJson) or shard entry (jobSpecFromJson) naming it is
+    // rejected before its spec hash is even checked.
+    size_t Pos = Json.find("\"pco\": \"rank\"");
+    ASSERT_NE(Pos, std::string::npos);
+    Json.replace(Pos, 13, "\"pco\": \"layered\"");
+    Doc = parseJson(Json, &Error);
+    ASSERT_TRUE(Doc) << Error;
+    Error.clear();
+    EXPECT_FALSE(jobResultFromJson(*Doc, &Error).has_value());
+    EXPECT_NE(Error.find("unknown level/strategy/pco name"),
+              std::string::npos)
+        << Error;
+    Error.clear();
+    EXPECT_FALSE(jobSpecFromJson(*Doc, &Error).has_value());
+    EXPECT_NE(Error.find("unknown level/strategy/pco name"),
+              std::string::npos)
+        << Error;
   }
 }

@@ -300,10 +300,13 @@ TEST(PredictSession, StrategyNamesRoundTrip) {
     EXPECT_EQ(strategyFromString(toString(S)), S);
 
   EXPECT_EQ(pcoEncodingFromString("rank"), PcoEncoding::Rank);
-  EXPECT_EQ(pcoEncodingFromString("Layered"), PcoEncoding::Layered);
+  EXPECT_EQ(pcoEncodingFromString("RANK"), PcoEncoding::Rank);
+  EXPECT_EQ(pcoEncodingFromString(toString(PcoEncoding::Rank)),
+            PcoEncoding::Rank);
   EXPECT_FALSE(pcoEncodingFromString("").has_value());
-  for (PcoEncoding E : {PcoEncoding::Rank, PcoEncoding::Layered})
-    EXPECT_EQ(pcoEncodingFromString(toString(E)), E);
+  // The bounded-depth fixpoint encoding was removed; its name is now
+  // outside input like any other unknown spelling.
+  EXPECT_FALSE(pcoEncodingFromString("layered").has_value());
 
   EXPECT_EQ(isolationLevelFromString("causal"), IsolationLevel::Causal);
   EXPECT_EQ(isolationLevelFromString("rc"), IsolationLevel::ReadCommitted);

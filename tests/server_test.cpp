@@ -136,6 +136,20 @@ TEST(Protocol, LenientSpecFormFillsDefaults) {
   Obj = parseJson(R"({"app": "voter", "level": "dirty"})", &Error);
   EXPECT_FALSE(parseQuerySpec(*Obj, &Error).has_value());
   EXPECT_NE(Error.find("dirty"), std::string::npos);
+
+  // So is the name of the removed bounded-depth pco encoding, both in
+  // a spec and in a query against a registered history.
+  Obj = parseJson(R"({"app": "voter", "pco": "layered"})", &Error);
+  EXPECT_FALSE(parseQuerySpec(*Obj, &Error).has_value());
+  EXPECT_NE(Error.find("unknown pco encoding 'layered'"), std::string::npos);
+  Obj = parseJson(R"({"history": "h", "pco": "layered"})", &Error);
+  JobSpec Q;
+  Error.clear();
+  EXPECT_FALSE(parseQueryOptions(*Obj, Q, &Error));
+  EXPECT_NE(Error.find("unknown pco encoding 'layered'"), std::string::npos);
+  Obj = parseJson(R"({"history": "h", "pco": "rank"})", &Error);
+  EXPECT_TRUE(parseQueryOptions(*Obj, Q, &Error)) << Error;
+  EXPECT_EQ(Q.Pco, PcoEncoding::Rank);
 }
 
 TEST(Protocol, StrictSpecFormRoundTripsThroughJobIo) {
