@@ -429,7 +429,7 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
     }
     if (R.SolverStats.Collected)
       Extra += formatString(
-          " [%llu conflicts, %llu decisions, %.0f MB]",
+          " [%llu conflicts, %llu decisions, z3 process peak %.0f MB]",
           static_cast<unsigned long long>(R.SolverStats.Conflicts),
           static_cast<unsigned long long>(R.SolverStats.Decisions),
           R.SolverStats.MaxMemoryMb);

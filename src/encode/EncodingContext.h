@@ -60,36 +60,31 @@ using PairMatrix = std::vector<std::vector<SmtExpr>>;
 /// term stays constant false, and a single surviving term is passed
 /// through instead of defining a layer variable. Skipped declarations
 /// and folded-out atoms are tallied into \p PrunedVars / \p PrunedLits
-/// when non-null. Sat-equivalent; with \p Fold off the construction is
-/// bit-identical to the original.
+/// when non-null. Sat-equivalent; with \p Fold off every layer pair
+/// gets its own variable.
 PairMatrix defineClosure(SmtContext &Ctx, SmtSolver &Solver,
                          const PairMatrix &Base, const char *Prefix,
                          bool Fold = false, uint64_t *PrunedVars = nullptr,
                          uint64_t *PrunedLits = nullptr);
 
-/// Shared state of one predictive-encoding query — or, in session mode,
-/// of a whole multi-query PredictSession. Construction declares nothing;
-/// EncoderPipeline runs the DeclarePass first, which builds the variable
-/// tables below in the same order the monolithic encoder did.
+/// Shared state of one PredictSession's encoding — one-shot predict()
+/// is a single-query session, so this covers every query. Construction
+/// declares nothing; EncoderPipeline runs the DeclarePass first, which
+/// builds the variable tables below.
 ///
-/// Session mode (\p SessionMode true) marks the reuse boundary of the
-/// incremental-query design: everything DeclarePass and FeasibilityPass
-/// build is query-invariant (the boundary/cut *linkage*, which depends
-/// on the strategy's boundary mode, moves into the per-query
-/// BoundaryLinkPass), so a PredictSession encodes that prefix once and
-/// answers each query inside a solver push/pop scope. To make the
-/// prefix strategy-independent, session mode always materializes the
-/// per-session Cut variables instead of aliasing them to Boundary for
-/// strict boundaries — sat-equivalent, but not bit-identical, which is
-/// why one-shot predict() keeps SessionMode off.
+/// Everything DeclarePass and FeasibilityPass build is query-invariant:
+/// the boundary/cut *linkage*, which depends on the strategy's boundary
+/// mode, lives in the per-query BoundaryLinkPass, and the per-session
+/// Cut variables are always materialized rather than aliased to
+/// Boundary for strict boundaries. A shared session therefore encodes
+/// that prefix once and answers each query inside a solver push/pop
+/// scope; a single-query session runs the same passes at root scope.
 class EncodingContext {
 public:
   EncodingContext(const History &H, const PredictOptions &Opts,
-                  SmtContext &Ctx, SmtSolver &Solver,
-                  bool SessionMode = false, bool Streaming = false)
+                  SmtContext &Ctx, SmtSolver &Solver, bool Streaming = false)
       : H(H), Opts(Opts), Ctx(Ctx), Solver(Solver), N(H.numTxns()),
-        SessionMode(SessionMode || Streaming), Streaming(Streaming),
-        Relaxed(Opts.Strat == Strategy::ApproxRelaxed) {
+        Streaming(Streaming) {
     if (Opts.PruneFormula) {
       // Streaming plans disable the single-writer fixed-choice rule:
       // it is the one relevance rule that is not monotone under
@@ -106,14 +101,12 @@ public:
   SmtContext &Ctx;
   /// Passes assert straight onto the solver, interleaved with term
   /// construction: Z3 hash-conses auxiliary ASTs while asserting, so
-  /// the interleaving fixes the AST ids that seed the solver's search
-  /// — the order is part of the bit-identical behaviour contract.
+  /// the interleaving fixes the AST ids that seed the solver's search.
   SmtSolver &Solver;
   /// Number of encoded transactions; fixed except in streaming mode,
   /// where extendHistory() grows it as H is appended to.
   size_t N;
-  const bool SessionMode;
-  /// Streaming mode (implies SessionMode): the declare+feasibility
+  /// Streaming mode: the declare+feasibility
   /// prefix holds only the *monotone* constraint families (so
   /// constants, before-boundary implications, choice-inclusion
   /// implications, φwr_k/φwr definitions — all stable as transactions
@@ -125,23 +118,22 @@ public:
   /// inside the solver scope. φso is substituted as constants even
   /// unpruned, and φhb pair variables are never declared (EC.Hb
   /// aliases the per-query folded closure; hb occurs only positively,
-  /// so this is sat-equivalent). Streaming encodings are therefore
-  /// never bit-identical to one-shot ones — outcome equivalence is
-  /// what the streaming tests pin.
+  /// so this is sat-equivalent). Streaming encodings therefore differ
+  /// from non-streaming ones — outcome equivalence is what the
+  /// streaming tests pin.
   const bool Streaming;
   /// Streaming: first transaction of the current delta — the base
   /// passes encode only entities/pairs touching [DeltaFrom, N).
   /// 0 on the initial encode (everything is new).
   size_t DeltaFrom = 0;
   /// Relevance plan of the pruned encoding (PredictOptions::
-  /// PruneFormula); null when pruning is off. Computed once per context
-  /// — once per one-shot query, or once per PredictSession — because it
-  /// depends only on the observed history.
+  /// PruneFormula); null when pruning is off. Computed once per context,
+  /// i.e. once per PredictSession, because it depends only on the
+  /// observed history.
   const EncodingPlan *Plan = nullptr;
-  /// Boundary mode of the current query (strict aliases cut to
-  /// boundary). Fixed for a one-shot encoding; updated per query by
-  /// beginQuery() in session mode.
-  bool Relaxed;
+  /// Boundary mode of the current query (BoundaryLinkPass reads it);
+  /// set by beginQuery().
+  bool Relaxed = false;
 
   //===--------------------------------------------------------------------===
   // Pruning (PredictOptions::PruneFormula)
@@ -191,14 +183,14 @@ public:
     return false;
   }
 
-  /// Resets the per-query state (the strategy-pass outputs below) ahead
-  /// of the next session query; the base tables built by DeclarePass /
+  /// Installs the query's boundary mode and resets the per-query state
+  /// (the strategy-pass outputs below) ahead of every query, the first
+  /// one included; the base tables built by DeclarePass /
   /// FeasibilityPass are untouched. Stale Pco/Rank matrices from an
   /// earlier query must not leak into extraction — an ExactStrict query
   /// after an Approx one would otherwise read a witness from relation
   /// variables its own scope never constrained.
   void beginQuery(Strategy Strat) {
-    assert(SessionMode && "beginQuery is a session-mode operation");
     Relaxed = Strat == Strategy::ApproxRelaxed;
     Pco.clear();
     Rank.clear();
@@ -231,8 +223,8 @@ public:
   PairMatrix Rank; ///< Int vars, rank encoding only.
 
   /// φwr_k(t1,t2), keyed by (key, writer, reader). Ordered container:
-  /// FeasibilityPass iterates it when defining the φwr_k semantics, and
-  /// assertion order is part of the bit-identical behaviour contract.
+  /// FeasibilityPass iterates it when defining the φwr_k semantics, so
+  /// the assertion order is deterministic.
   std::map<std::tuple<KeyId, TxnId, TxnId>, SmtExpr> WrK;
 
   /// Integer standing in for the "∞" boundary position: strictly larger
@@ -243,8 +235,9 @@ public:
   std::map<std::pair<SessionId, uint32_t>, SmtExpr> Choice;
   /// φboundary(s): integer variable, a read position or Inf.
   std::vector<SmtExpr> Boundary;
-  /// Derived cut: last included position (== Boundary when strict; the
-  /// end of the boundary read's transaction when relaxed; Table 1).
+  /// Derived cut: last included position (pinned to Boundary when
+  /// strict; the end of the boundary read's transaction when relaxed;
+  /// Table 1 — BoundaryLinkPass asserts the link per query).
   std::vector<SmtExpr> Cut;
 
   //===--------------------------------------------------------------------===

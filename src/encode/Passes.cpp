@@ -9,13 +9,13 @@
 //    instead of a recursive fixpoint equality; hb only occurs positively
 //    in the isolation constraints, so only spurious models are removed.
 //
-// Every pass has two construction paths: the default one, bit-identical
-// to the pre-refactor monolithic encoder (the golden fixtures pin it),
-// and a pruned one gated on EncodingContext::pruning()
-// (PredictOptions::PruneFormula) that consults the relevance plan
-// (Prune.h) to fold constants and skip declarations/assertions no model
-// can distinguish. The pruned path is sat/unsat-equivalent only —
-// models and literal counts differ by design.
+// Every pass has two construction paths: the default one (the golden
+// fixtures pin its predictions), and a pruned one gated on
+// EncodingContext::pruning() (PredictOptions::PruneFormula) that
+// consults the relevance plan (Prune.h) to fold constants and skip
+// declarations/assertions no model can distinguish. The pruned path is
+// sat/unsat-equivalent only — models and literal counts differ by
+// design.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,26 +27,6 @@ using namespace isopredict;
 using namespace isopredict::encode;
 
 namespace {
-
-// The Table-1 relaxed-boundary linkage, built in exactly one place so
-// the one-shot (FeasibilityPass) and session (BoundaryLinkPass) callers
-// cannot drift apart: a boundary at this read extends the cut to the
-// end of the read's transaction; a boundary at ∞ leaves everything in.
-
-SmtExpr relaxedCutAtRead(EncodingContext &EC, SessionId S, uint32_t Pos,
-                         uint32_t EndPos) {
-  SmtContext &Ctx = EC.Ctx;
-  return Ctx.mkImplies(
-      Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(Pos)),
-      Ctx.internEq(EC.Cut[S], Ctx.internIntVal(EndPos)));
-}
-
-SmtExpr relaxedCutAtInf(EncodingContext &EC, SessionId S) {
-  SmtContext &Ctx = EC.Ctx;
-  return Ctx.mkImplies(
-      Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(EC.Inf)),
-      Ctx.internEq(EC.Cut[S], Ctx.internIntVal(EC.Inf)));
-}
 
 /// The pruned realization of the B.3 embeddings' per-pair constraint
 /// "(lhs-or-terms) ⇒ co(A) < co(B)". The default path names the ww
@@ -308,15 +288,11 @@ void DeclarePass::run(EncodingContext &EC) {
                                                   E.Pos)));
       }
 
-  // Session mode always materializes Cut so the declarations do not
-  // depend on the query's boundary mode (BoundaryLinkPass asserts the
-  // strict Cut == Boundary aliasing per query instead).
+  // Cut is always its own variable so the declarations do not depend on
+  // the query's boundary mode (BoundaryLinkPass links it per query).
   for (SessionId S = 0; S < H.numSessions(); ++S) {
     EC.Boundary.push_back(Ctx.intVar(formatString("boundary_%u", S)));
-    if (EC.Relaxed || EC.SessionMode)
-      EC.Cut.push_back(Ctx.intVar(formatString("cut_%u", S)));
-    else
-      EC.Cut.push_back(EC.Boundary.back());
+    EC.Cut.push_back(Ctx.intVar(formatString("cut_%u", S)));
   }
 
   EC.buildIndexes();
@@ -344,30 +320,19 @@ void FeasibilityPass::run(EncodingContext &EC) {
     EC.notePrunedLits(static_cast<uint64_t>(N) * (N - 1));
   }
 
-  // --- Boundary domain: a read position of the session, or ∞; for the
-  // relaxed boundary the cut is constrained to the end of the boundary
-  // read's transaction (Table 1). In session mode the boundary↔cut
-  // linkage is query-dependent and asserted by BoundaryLinkPass inside
-  // each query's solver scope.
-  bool LinkCut = EC.Relaxed && !EC.SessionMode;
+  // --- Boundary domain: a read position of the session, or ∞. The
+  // boundary↔cut linkage is query-dependent and asserted by
+  // BoundaryLinkPass.
   for (SessionId S = 0; S < H.numSessions(); ++S) {
     std::vector<SmtExpr> Options;
-    for (TxnId T : H.sessionTxns(S)) {
-      const Transaction &Txn = H.txn(T);
-      for (const Event &E : Txn.Events) {
-        if (E.Kind != EventKind::Read)
-          continue;
-        Options.push_back(
-            Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(E.Pos)));
-        if (LinkCut)
-          EC.Solver.add(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
-      }
-    }
+    for (TxnId T : H.sessionTxns(S))
+      for (const Event &E : H.txn(T).Events)
+        if (E.Kind == EventKind::Read)
+          Options.push_back(
+              Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(E.Pos)));
     Options.push_back(
         Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(EC.Inf)));
     EC.Solver.add(Ctx.mkOr(Options));
-    if (LinkCut)
-      EC.Solver.add(relaxedCutAtInf(EC, S));
   }
 
   // --- Read choices: every read's choice ranges over the writers of
@@ -577,33 +542,33 @@ void WindowPass::run(EncodingContext &EC) {
 void BoundaryLinkPass::run(EncodingContext &EC) {
   const History &H = EC.H;
   SmtContext &Ctx = EC.Ctx;
-  assert(EC.SessionMode && "BoundaryLinkPass is session-mode only");
 
   if (!EC.Relaxed) {
-    // Strict boundary: the cut *is* the boundary read. One-shot
-    // encodings alias the terms; here the materialized cut variable is
-    // pinned instead, which is sat-equivalent in every constraint that
-    // compares against it.
+    // Strict boundary: the cut *is* the boundary read — the cut
+    // variable is pinned to it.
     for (SessionId S = 0; S < H.numSessions(); ++S)
       EC.Solver.add(Ctx.internEq(EC.Cut[S], EC.Boundary[S]));
     return;
   }
 
-  // Relaxed boundary: the cut extends to the end of the boundary read's
-  // transaction (Table 1) — the same implications FeasibilityPass emits
-  // inline for one-shot relaxed encodings. The boundary atoms already
-  // exist in the intern tables from the shared prefix, so re-entering
-  // this pass per query only rebuilds the implication shells.
+  // Relaxed boundary: a boundary at a read extends the cut to the end
+  // of the read's transaction (Table 1); a boundary at ∞ leaves
+  // everything in. The boundary atoms already exist in the intern
+  // tables from the shared prefix, so re-entering this pass per query
+  // only rebuilds the implication shells.
+  auto Link = [&](SessionId S, int64_t Boundary, int64_t Cut) {
+    EC.Solver.add(Ctx.mkImplies(
+        Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(Boundary)),
+        Ctx.internEq(EC.Cut[S], Ctx.internIntVal(Cut))));
+  };
   for (SessionId S = 0; S < H.numSessions(); ++S) {
     for (TxnId T : H.sessionTxns(S)) {
       const Transaction &Txn = H.txn(T);
-      for (const Event &E : Txn.Events) {
-        if (E.Kind != EventKind::Read)
-          continue;
-        EC.Solver.add(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
-      }
+      for (const Event &E : Txn.Events)
+        if (E.Kind == EventKind::Read)
+          Link(S, E.Pos, Txn.EndPos);
     }
-    EC.Solver.add(relaxedCutAtInf(EC, S));
+    Link(S, EC.Inf, EC.Inf);
   }
 }
 

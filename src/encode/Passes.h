@@ -19,10 +19,11 @@
 ///   ReadAtomicPass     like B.3.1 with one-step visibility (§8)
 ///   ReadCommittedPass  B.3.2: (hb ∪ wwrc) embeds in a total order
 ///
-/// Pass order matters and is fixed by EncoderPipeline::forOptions:
-/// declare → feasibility → one strategy pass → one isolation pass —
-/// the exact construction order of the pre-refactor monolithic encoder,
-/// so the generated constraint system is bit-identical to it.
+/// Pass order matters and is fixed by EncoderPipeline: the session base
+/// (declare → feasibility, forSessionBase) and then the per-query
+/// suffix (boundary-link → one strategy pass → one isolation pass,
+/// forQuery). Construction order fixes Z3's AST ids, which seed the
+/// solver's search.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,13 +61,12 @@ public:
   void run(EncodingContext &EC) override;
 };
 
-/// Session-mode only: links each session's cut to its boundary according
-/// to the *current query's* boundary mode (Table 1) — Cut == Boundary
-/// under a strict boundary, the end of the boundary read's transaction
-/// under the relaxed one. One-shot encodings bake this linkage into
-/// DeclarePass/FeasibilityPass; session mode hoists it here so the
-/// declare+feasibility prefix is query-invariant and reusable across
-/// solver scopes.
+/// Links each session's cut to its boundary according to the *current
+/// query's* boundary mode (Table 1) — Cut == Boundary under a strict
+/// boundary, the end of the boundary read's transaction under the
+/// relaxed one. The linkage lives here, not in DeclarePass or
+/// FeasibilityPass, so the declare+feasibility prefix is
+/// query-invariant and reusable across solver scopes.
 class BoundaryLinkPass : public EncodingPass {
 public:
   const char *name() const override { return "boundary-link"; }

@@ -33,7 +33,8 @@ void EncoderPipeline::run(EncodingContext &EC, EncodingStats &Stats) const {
 }
 
 /// Appends the strategy (B.2) and isolation (B.3) passes \p Opts
-/// selects — the query-dependent tail shared by forOptions and forQuery.
+/// selects — the query-dependent tail shared by forQuery and
+/// forStreamQuery.
 static void addQueryPasses(EncoderPipeline &P, const PredictOptions &Opts) {
   if (Opts.Strat == Strategy::ExactStrict)
     P.add(std::make_unique<ExactStrictPass>());
@@ -53,14 +54,6 @@ static void addQueryPasses(EncoderPipeline &P, const PredictOptions &Opts) {
   case IsolationLevel::Serializable:
     break; // Rejected by predict()'s precondition.
   }
-}
-
-EncoderPipeline EncoderPipeline::forOptions(const PredictOptions &Opts) {
-  EncoderPipeline P;
-  P.add(std::make_unique<DeclarePass>());
-  P.add(std::make_unique<FeasibilityPass>());
-  addQueryPasses(P, Opts);
-  return P;
 }
 
 EncoderPipeline EncoderPipeline::forSessionBase() {

@@ -10,9 +10,9 @@
 /// (EncodingStats::Passes — the breakdown bench/micro_encoding
 /// reports).
 ///
-/// predict() assembles the standard pipeline from its options through
-/// forOptions(); nothing stops callers from composing their own pass
-/// sequence for experiments.
+/// PredictSession assembles the standard pipelines below — the session
+/// base once, then one query suffix per query; nothing stops callers
+/// from composing their own pass sequence for experiments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,18 +42,14 @@ public:
   /// \p Stats (literals sum to the context's asserted-literal delta).
   void run(EncodingContext &EC, EncodingStats &Stats) const;
 
-  /// The standard Appendix-B pipeline for \p Opts:
-  /// declare → feasibility → strategy (B.2) → isolation (B.3).
-  static EncoderPipeline forOptions(const PredictOptions &Opts);
-
-  /// The query-invariant prefix of a PredictSession (session-mode
-  /// EncodingContext): declare → feasibility. Encoded once per session,
-  /// below every solver scope.
+  /// The query-invariant prefix of a PredictSession: declare →
+  /// feasibility. Encoded once per session, below every solver scope.
   static EncoderPipeline forSessionBase();
 
   /// The per-query suffix of a PredictSession: boundary-link →
-  /// strategy (B.2) → isolation (B.3), asserted inside one push/pop
-  /// scope on top of the forSessionBase prefix.
+  /// strategy (B.2) → isolation (B.3), asserted on top of the
+  /// forSessionBase prefix — inside one push/pop scope in a shared
+  /// session, at root scope in a single-query one.
   static EncoderPipeline forQuery(const PredictOptions &Opts);
 
   /// The per-query suffix of a *streaming* PredictSession: window →

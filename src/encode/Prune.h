@@ -10,10 +10,10 @@
 /// of constraint-generation wall-clock inside libz3 — ~1/3 term
 /// hash-consing, ~2/3 per-assert preprocessing — so the only remaining
 /// generation lever is a *smaller formula*. An EncodingPlan is computed
-/// once per EncodingContext (i.e. once per one-shot query, or once per
-/// PredictSession) from the observed history alone, and every encoding
-/// pass consults it to skip declarations and assertions that no model
-/// can ever distinguish:
+/// once per EncodingContext (i.e. once per PredictSession; one-shot
+/// predict() is a single-query session) from the observed history
+/// alone, and every encoding pass consults it to skip declarations and
+/// assertions that no model can ever distinguish:
 ///
 ///  - φso(t1,t2) is the observed session order, asserted verbatim by
 ///    FeasibilityPass — under the plan the pair variables are never

@@ -30,8 +30,10 @@
 ///   solver.sat/unsat/unknown   counter   check outcomes
 ///   solver.timeouts            counter   unknowns attributed to timeout
 ///   solver.check_seconds       histogram per-check wall-clock
-///   session.base_encodes       counter   shared prefixes encoded
-///   session.queries            counter   session queries answered
+///   session.base_encodes       counter   session prefixes encoded (a
+///                                        one-shot predict() counts one)
+///   session.queries            counter   encoded queries answered,
+///                                        one-shot predict() included
 ///   session.base_reuses        counter   queries that reused a prefix
 ///   validate.replays           counter   validation replays run
 ///   validate.seconds           histogram per-replay wall-clock

@@ -28,7 +28,8 @@
 ///    never nest within each other, so summing their durations
 ///    approximates campaign wall-clock; the container categories
 ///    "engine" (jobs, groups, worker drains) and "session" (base
-///    encodes, queries) overlap the leaves and exist for the timeline
+///    encodes, queries — one-shot predict() is a single-query session
+///    and emits both) overlap the leaves and exist for the timeline
 ///    view.
 ///
 /// Export is Chrome trace-event JSON ("traceEvents" with complete "X"

@@ -3,9 +3,8 @@
 // The constraint system lives in the layered src/encode/ pipeline
 // (EncodingContext + passes; see Passes.cpp for the Appendix-B clause
 // map) and the query machinery in PredictSession. predict() is the
-// one-shot compatibility entry point: a thin one-query session with
-// session mode off, bit-identical to the pre-session encoder (the
-// golden fixtures pin that).
+// one-shot entry point: a single-query session run at root solver
+// scope (the golden fixtures pin its predictions).
 //
 //===----------------------------------------------------------------------===//
 

@@ -176,7 +176,8 @@ struct Prediction {
   std::vector<TxnId> Witness;
 };
 
-/// Runs IsoPredict's predictive analysis on \p Observed.
+/// Runs IsoPredict's predictive analysis on \p Observed: one query of a
+/// single-query PredictSession, at root solver scope.
 Prediction predict(const History &Observed, const PredictOptions &Opts);
 
 } // namespace isopredict

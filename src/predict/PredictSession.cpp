@@ -3,11 +3,11 @@
 // Session lifecycle: the constructor records the history and the causal
 // fast-path precondition; the first query that needs the solver builds
 // the Z3 context and encodes the shared declare+feasibility prefix
-// (EncoderPipeline::forSessionBase on a session-mode EncodingContext);
-// every query then runs the per-query passes inside one solver
-// push/pop scope. One-shot predict() reuses runQuery() with session
-// mode off — no scopes, full pipeline, bit-identical to the
-// pre-session encoder.
+// (EncoderPipeline::forSessionBase); every query then runs the
+// per-query passes inside one solver push/pop scope. One-shot predict()
+// is a single-query session through the same runQuery(): it skips only
+// the push/pop, since there is nothing to pop back to and a pushed
+// scope switches Z3 to its slower incremental core.
 //
 //===----------------------------------------------------------------------===//
 
@@ -106,9 +106,9 @@ void extract(encode::EncodingContext &EC, SmtSolver &Solver,
   ExtractSeconds.observe(Sp.seconds());
 }
 
-/// Post-check bookkeeping shared by the one-shot and session paths:
-/// reads the solver's per-query Z3 statistics and classifies an Unknown
-/// as a timeout when Z3 says so or the solve time reached the budget.
+/// Post-check bookkeeping after every solver check: reads the solver's
+/// per-query Z3 statistics and classifies an Unknown as a timeout when
+/// Z3 says so or the solve time reached the budget.
 void recordCheckOutcome(SmtSolver &Solver, unsigned TimeoutMs,
                         Prediction &Out) {
   Out.SolverStats = Solver.statistics();
@@ -193,9 +193,8 @@ void PredictSession::ensureSolver() {
   Solver = std::make_unique<SmtSolver>(*Ctx);
   for (const auto &Param : Opts.SolverParams)
     Solver->setOption(Param.first, Param.second);
-  EC = std::make_unique<encode::EncodingContext>(
-      Streaming ? SubH : H, Opts, *Ctx, *Solver,
-      /*SessionMode=*/Shared, Streaming);
+  EC = std::make_unique<encode::EncodingContext>(Streaming ? SubH : H, Opts,
+                                                 *Ctx, *Solver, Streaming);
   // Publish the solver for cross-thread interrupt(), then re-check the
   // sticky request: an interrupt that raced solver creation is applied
   // here instead of being lost.
@@ -437,35 +436,8 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   Opts.Strat = Q.Strat;
   Opts.TimeoutMs = Q.TimeoutMs ? Q.TimeoutMs : DefaultTimeoutMs;
 
-  if (!Shared) {
-    // One-shot: the exact pre-session predict() sequence on a fresh
-    // context — construction order determines Z3 AST ids, which seed
-    // the solver's search, so this path is bit-identical by keeping
-    // the order identical.
-    ensureSolver();
-    Timer Gen;
-    encode::EncoderPipeline::forOptions(Opts).run(*EC, Out.Stats);
-    Out.Stats.GenSeconds = Gen.seconds();
-    Out.Stats.NumLiterals = Ctx->literalCount();
-    Out.Stats.PrunedVars = EC->PrunedVars;
-    Out.Stats.PrunedLits = EC->PrunedLits;
-    if (Q.GenerateOnly) {
-      ++Queries;
-      return Out; // Bench-only: Result stays Unknown.
-    }
-    if (Opts.TimeoutMs)
-      Solver->setTimeoutMs(Opts.TimeoutMs);
-    Timer Solve;
-    Out.Result = Solver->check();
-    Out.Stats.SolveSeconds = Solve.seconds();
-    recordCheckOutcome(*Solver, Opts.TimeoutMs, Out);
-    if (Out.Result == SmtResult::Sat)
-      extract(*EC, *Solver, Out);
-    ++Queries;
-    return Out;
-  }
-
-  // Shared: base prefix below, one scope per query on top.
+  // Base prefix below; a shared session's query runs in a scope on top
+  // of it, a single-query session's at root scope.
   static obs::Counter &SessionQueries =
       obs::Metrics::global().counter("session.queries");
   static obs::Counter &BaseReuses =
@@ -479,7 +451,8 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   QSpan.arg("level", toString(Q.Level));
   QSpan.arg("strategy", toString(Q.Strat));
   EC->beginQuery(Q.Strat);
-  Solver->push();
+  if (Shared)
+    Solver->push();
   uint64_t Before = Ctx->literalCount();
   uint64_t PVBefore = EC->PrunedVars, PLBefore = EC->PrunedLits;
   Timer Gen;
@@ -520,7 +493,8 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
           T = SubToFull[T];
     }
   }
-  Solver->pop();
+  if (Shared)
+    Solver->pop();
   ++Queries;
   return Out;
 }

@@ -18,18 +18,16 @@
 /// the per-query passes (boundary linkage, strategy, isolation level).
 ///
 /// Compatibility contract:
+///  - One-shot `predict()` is a single-query session: the same base
+///    and per-query passes, run at root solver scope with no push/pop
+///    (a pushed scope switches Z3 to its incremental core, which costs
+///    a single query time and buys it nothing).
 ///  - `query()` returns the same `Prediction::Result` (sat/unsat) as a
-///    one-shot `predict()` with the same options: the session encoding
-///    is sat-equivalent by construction (the only difference is that
-///    strict-boundary cuts are materialized variables pinned to the
-///    boundary instead of term aliases). Models — and therefore
-///    boundary/cut positions, witnesses, and validation outcomes — may
-///    legitimately differ, because the solver's search is seeded by the
-///    incremental state.
-///  - One-shot `predict()` itself is implemented as a session in
-///    one-shot mode (session mode off, no scopes) and stays
-///    bit-identical to the pre-session encoder — the golden fixtures
-///    pin that.
+///    one-shot `predict()` with the same options: both assert the same
+///    constraint system. Models — and therefore boundary/cut
+///    positions, witnesses, and validation outcomes — may legitimately
+///    differ, because the solver's search is seeded by the incremental
+///    state.
 ///
 /// Lifecycle:
 ///
@@ -202,10 +200,8 @@ public:
 
   const History &observed() const { return H; }
 
-  /// One-shot compatibility path: a stack lane (see makeLane) that runs
-  /// the full pipeline on a fresh context with session mode off —
-  /// bit-identical to the pre-session predict(), which is now a thin
-  /// wrapper over this.
+  /// One-shot path behind predict(): a stack lane (see makeLane) that
+  /// answers one query at root solver scope on a fresh context.
   static Prediction oneShot(const History &Observed,
                             const PredictOptions &Opts);
 
@@ -215,9 +211,9 @@ public:
   //
   // A lane is a caller-owned one-shot session: construction is cheap (no
   // Z3 state until solveLane), solveLane() runs the same pipeline as
-  // oneShot() — so a lane with the query's own options is bit-identical
-  // to single-lane mode — and interrupt() may cancel the solve from
-  // another thread. Unlike a shared session, a lane does NOT copy the
+  // oneShot() — so a lane with the query's own options asserts exactly
+  // what single-lane mode does — and interrupt() may cancel the solve
+  // from another thread. Unlike a shared session, a lane does NOT copy the
   // history: the caller's History must outlive the lane (all lanes of
   // one race share one read-only observed history).
 
@@ -267,15 +263,16 @@ private:
   /// timeout currently installed on the solver.
   void applyTimeout(unsigned TimeoutMs);
 
-  /// The common query path; \p Shared decides scoped vs one-shot.
+  /// The common query path; Shared decides whether the query runs in a
+  /// push/pop scope (shared) or at root scope (single-query).
   Prediction runQuery(const QueryOptions &Q);
 
   /// Shared sessions own a copy of the observed history (the session
   /// outlives the structures campaigns build histories in); streaming
   /// extends append to it in place (see extend()'s aliasing rule). The
   /// one-shot path leaves this empty and references the caller's
-  /// history directly — it never outlives the predict() call, so the
-  /// pre-session no-copy behaviour is preserved.
+  /// history directly — it never outlives the predict() call, so
+  /// nothing is copied.
   History OwnedH;
   const History &H;
   /// Effective options handed to the encoding passes; the query-varying

@@ -65,9 +65,10 @@ struct ServerOptions {
   /// Result-cache root shared with batch runs; empty = no cache.
   std::string CacheDir;
   /// Queries slower than this log a structured `slow_query` event (with
-  /// tenant, spec hash, winning lane and Z3 solver stats) and count in
-  /// server.slow_queries{tenant}. Fractional values allow
-  /// sub-millisecond thresholds; 0 disables.
+  /// tenant, spec hash, winning lane and Z3 solver stats; its
+  /// `solver_memory_mb` is Z3's process-wide allocator peak, not the
+  /// query's own memory) and count in server.slow_queries{tenant}.
+  /// Fractional values allow sub-millisecond thresholds; 0 disables.
   double SlowQueryMs = 1000;
   /// When set, continuous tracing: the Tracer runs in ring-buffer mode
   /// (bounded memory) and rotated Chrome trace files are flushed into

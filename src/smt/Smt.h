@@ -68,7 +68,10 @@ struct SolverStatistics {
   uint64_t Decisions = 0;
   uint64_t Restarts = 0;
   uint64_t Propagations = 0;
-  double MaxMemoryMb = 0; ///< Peak Z3 allocation, megabytes.
+  /// Z3's "max memory" statistic, megabytes: the peak of Z3's
+  /// process-wide allocator so far, not this query's own allocation —
+  /// concurrent and earlier queries in the same process raise it too.
+  double MaxMemoryMb = 0;
   bool Collected = false; ///< False until statistics() populated this.
 };
 

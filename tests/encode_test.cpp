@@ -133,24 +133,42 @@ TEST(Encode, PassLiteralsSumToTotal) {
     for (IsolationLevel L :
          {IsolationLevel::Causal, IsolationLevel::ReadAtomic,
           IsolationLevel::ReadCommitted}) {
+      SCOPED_TRACE(formatString("%s/%s", toString(S), toString(L)));
       History H = crossReadObserved();
       PredictOptions O = opts(L, S);
       O.GenerateOnly = true;
       Prediction P = predict(H, O);
 
-      ASSERT_EQ(P.Stats.Passes.size(), 4u) << toString(S);
+      ASSERT_EQ(P.Stats.Passes.size(), 5u);
       EXPECT_EQ(P.Stats.Passes[0].Name, "declare");
       EXPECT_EQ(P.Stats.Passes[0].Literals, 0u)
           << "declaration asserts nothing";
       EXPECT_EQ(P.Stats.Passes[1].Name, "feasibility");
+      EXPECT_EQ(P.Stats.Passes[2].Name, "boundary-link");
 
       uint64_t Sum = 0;
       for (const PassStats &PS : P.Stats.Passes) {
         EXPECT_GE(PS.Seconds, 0.0);
         Sum += PS.Literals;
       }
-      EXPECT_EQ(Sum, P.Stats.NumLiterals)
-          << toString(S) << "/" << toString(L);
+      EXPECT_EQ(Sum, P.Stats.NumLiterals);
+
+      // predict() *is* the first query of a fresh session: the same
+      // passes, each asserting the same literals.
+      PredictSession Session(H);
+      PredictSession::QueryOptions Q;
+      Q.Level = L;
+      Q.Strat = S;
+      Q.GenerateOnly = true;
+      Prediction First = Session.query(Q);
+      EXPECT_FALSE(First.Stats.BasePrefixReused);
+      EXPECT_EQ(First.Stats.NumLiterals, P.Stats.NumLiterals);
+      ASSERT_EQ(First.Stats.Passes.size(), P.Stats.Passes.size());
+      for (size_t I = 0; I < P.Stats.Passes.size(); ++I) {
+        EXPECT_EQ(First.Stats.Passes[I].Name, P.Stats.Passes[I].Name);
+        EXPECT_EQ(First.Stats.Passes[I].Literals, P.Stats.Passes[I].Literals)
+            << P.Stats.Passes[I].Name;
+      }
     }
 }
 
@@ -159,16 +177,18 @@ TEST(Encode, PipelineSelectsPassesFromOptions) {
                           Strategy::ApproxStrict);
   O.GenerateOnly = true;
   Prediction P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 4u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "approx-rank");
-  EXPECT_EQ(P.Stats.Passes[3].Name, "read-committed");
+  ASSERT_EQ(P.Stats.Passes.size(), 5u);
+  EXPECT_EQ(P.Stats.Passes[2].Name, "boundary-link");
+  EXPECT_EQ(P.Stats.Passes[3].Name, "approx-rank");
+  EXPECT_EQ(P.Stats.Passes[4].Name, "read-committed");
 
   O.Strat = Strategy::ExactStrict;
   O.Level = IsolationLevel::Causal;
   P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 4u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "exact-strict");
-  EXPECT_EQ(P.Stats.Passes[3].Name, "causal");
+  ASSERT_EQ(P.Stats.Passes.size(), 5u);
+  EXPECT_EQ(P.Stats.Passes[2].Name, "boundary-link");
+  EXPECT_EQ(P.Stats.Passes[3].Name, "exact-strict");
+  EXPECT_EQ(P.Stats.Passes[4].Name, "causal");
 }
 
 //===----------------------------------------------------------------------===

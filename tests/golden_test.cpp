@@ -1,9 +1,10 @@
 //===- golden_test.cpp - Golden-equivalence fixtures for predict() -------===//
 //
 // Pins predict()'s observable behaviour — Result, BoundaryPos, CutPos,
-// and the witness cycle — on the seed workloads to fixtures generated
-// from the pre-refactor monolithic Encoder. The layered src/encode/
-// pipeline must reproduce every field bit-for-bit.
+// and the witness cycle — on the seed workloads, and replay-validates
+// every Sat prediction, so a re-pinned model is checked rather than
+// merely re-recorded. Result is the contract; the model fields pin the
+// encoding's construction order, which seeds the solver's search.
 //
 // The fixture grid only contains configurations whose solver time is far
 // below the 300 s timeout, so outcomes are machine-independent.
@@ -82,9 +83,7 @@ std::string joinTxns(const std::vector<TxnId> &Ts) {
   return Out;
 }
 
-Prediction runCase(const char *App, IsolationLevel Level, Strategy Strat,
-                   uint64_t Seed) {
-  History H = observedHistory(App, Seed);
+Prediction runCase(const History &H, IsolationLevel Level, Strategy Strat) {
   PredictOptions Opts;
   Opts.Level = Level;
   Opts.Strat = Strat;
@@ -149,7 +148,8 @@ int regenerate(const std::string &Path) {
                     "./golden_test\n// clang-format off\n",
                Path.c_str());
   for (const GoldenCase &C : fixtureGrid()) {
-    Prediction P = runCase(C.App, C.Level, C.Strat, C.Seed);
+    Prediction P =
+        runCase(observedHistory(C.App, C.Seed), C.Level, C.Strat);
     std::fprintf(
         Out,
         "{\"%s\", %s, %s, %llu,\n \"%s\", \"%s\", \"%s\", \"%s\"},\n",
@@ -167,6 +167,23 @@ int regenerate(const std::string &Path) {
   return 0;
 }
 
+/// A Sat prediction must survive validation replay: a non-diverged
+/// validating execution follows the predicted reads exactly and is
+/// therefore unserializable, so a "serializable" verdict without
+/// divergence would expose an unsound encoding.
+void expectReplayValidates(const std::string &App, uint64_t Seed,
+                           const History &H, const Prediction &P,
+                           IsolationLevel Level) {
+  auto Replay = makeApplication(App);
+  ValidationResult V = validatePrediction(
+      *Replay, WorkloadConfig::small(Seed), H, P, Level, GoldenTimeoutMs);
+  EXPECT_TRUE(V.St == ValidationResult::Status::ValidatedUnserializable ||
+              V.Diverged)
+      << "non-diverged replay of a Sat prediction was serializable "
+         "(validation: "
+      << toString(V.St) << ")";
+}
+
 class Golden : public ::testing::TestWithParam<size_t> {};
 
 } // namespace
@@ -176,11 +193,14 @@ TEST_P(Golden, PredictionMatchesFixture) {
   SCOPED_TRACE(formatString("%s %s %s seed=%llu", C.App, toString(C.Level),
                             toString(C.Strat),
                             static_cast<unsigned long long>(C.Seed)));
-  Prediction P = runCase(C.App, C.Level, C.Strat, C.Seed);
+  History H = observedHistory(C.App, C.Seed);
+  Prediction P = runCase(H, C.Level, C.Strat);
   EXPECT_STREQ(toString(P.Result), C.Result);
   EXPECT_EQ(joinPositions(P.BoundaryPos), C.Boundary);
   EXPECT_EQ(joinPositions(P.CutPos), C.Cut);
   EXPECT_EQ(joinTxns(P.Witness), C.Witness);
+  if (P.Result == SmtResult::Sat)
+    expectReplayValidates(C.App, C.Seed, H, P, C.Level);
 }
 
 INSTANTIATE_TEST_SUITE_P(
